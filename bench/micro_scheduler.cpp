@@ -306,7 +306,13 @@ void BM_LpRelaxation(benchmark::State& state) {
         core::relaxed_lower_bound(instance.jobs, instance.phones, instance.prediction));
   }
 }
-BENCHMARK(BM_LpRelaxation)->Args({6, 30})->Args({18, 150})->Unit(benchmark::kMillisecond);
+// {128, 38}: a fleet pod's relaxation (128 phones x ~38 jobs, as the pod
+// packer solves per pod on a 512-phone fleet).
+BENCHMARK(BM_LpRelaxation)
+    ->Args({6, 30})
+    ->Args({18, 150})
+    ->Args({128, 38})
+    ->Unit(benchmark::kMillisecond);
 
 // Repeat-campaign shipping: the same batch simulated twice with phone
 // chunk caches persisting in between. ship_kb_batch1/2 are the bytes that
@@ -513,7 +519,7 @@ void BM_TimerWheel(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(wheel.pending());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TimerWheel)->Arg(100)->Arg(1'000)->Arg(10'000);
+BENCHMARK(BM_TimerWheel)->Arg(100)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMicrosecond);
 
 void BM_PredictionPredict(benchmark::State& state) {
   const auto instance = make_instance(18, 150);

@@ -66,9 +66,10 @@ class PodPackingScheduler final : public Scheduler {
     /// the upper bound and one shrunken probe tightens the bracket.
     double warm_start_shrink = 0.9;
     /// Per-pod LP lower bounds are solved only when the pod's jobs x
-    /// phones cell count is at most this (the simplex tableau is dense;
-    /// larger pods rely on the combinatorial bound alone). 0 disables the
-    /// LP bounds entirely.
+    /// phones cell count is at most this (a relaxation has one column per
+    /// cell and the simplex pays O(rows^2 + cells) per pivot; larger pods
+    /// rely on the combinatorial bound alone). 0 disables the LP bounds
+    /// entirely.
     std::size_t lp_bound_max_cells = 6144;
     /// Simplex pivot cap per pod bound; an unfinished solve just skips the
     /// pruning (a partial simplex value is not a valid bound).

@@ -21,7 +21,7 @@ lp::Problem build_relaxation(const std::vector<JobSpec>& jobs,
   if (phones.empty()) throw std::invalid_argument("build_relaxation: no phones");
   lp::Problem problem;
   problem.reserve(1 + jobs.size() * phones.size(), jobs.size() + phones.size());
-  const std::size_t T = problem.add_variable(1.0, "T");
+  const std::size_t T = problem.add_variable(1.0);
 
   // l[j][i] variable indices; jobs with zero input contribute nothing to
   // the relaxation (their executable cost vanishes with u -> 0+).

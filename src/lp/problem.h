@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,14 +32,12 @@ class Problem {
   /// inside the pod packer does not reallocate per variable.
   void reserve(std::size_t variables, std::size_t constraints) {
     costs_.reserve(variables);
-    names_.reserve(variables);
     constraints_.reserve(constraints);
   }
 
   /// Adds a variable with the given objective coefficient; returns its index.
-  std::size_t add_variable(double cost, std::string name = {}) {
+  std::size_t add_variable(double cost) {
     costs_.push_back(cost);
-    names_.push_back(name.empty() ? "x" + std::to_string(costs_.size() - 1) : std::move(name));
     return costs_.size() - 1;
   }
 
@@ -64,11 +61,9 @@ class Problem {
   std::size_t constraint_count() const { return constraints_.size(); }
   const std::vector<double>& costs() const { return costs_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
-  const std::string& variable_name(std::size_t i) const { return names_.at(i); }
 
  private:
   std::vector<double> costs_;
-  std::vector<std::string> names_;
   std::vector<Constraint> constraints_;
 };
 

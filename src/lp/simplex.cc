@@ -10,240 +10,273 @@ namespace cwc::lp {
 
 namespace {
 
-/// Dense tableau with an explicit objective row; the workhorse for both
-/// phases. Row-major storage; `cols` includes the rhs column at the end.
-class Tableau {
+/// Standard form A x = b, x >= 0, b >= 0. Columns are the structural
+/// variables, then one slack/surplus per inequality row, then one artificial
+/// per >= / == row; A is stored column-wise (CSC).
+struct StandardForm {
+  std::size_t m = 0;
+  std::size_t first_artificial = 0;  // columns >= this are artificial
+  std::size_t cols = 0;
+  std::vector<std::size_t> col_start;  // cols + 1 offsets into row/value
+  std::vector<std::size_t> row;
+  std::vector<double> value;
+  std::vector<double> rhs;
+};
+
+/// Revised simplex state over a StandardForm: the basis, an explicit m x m
+/// basis inverse (row-major), the basic values B^-1 b and the duals
+/// y = c_B' B^-1 of the objective being minimized.
+class Revised {
  public:
-  Tableau(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+  Revised(const StandardForm& sf, std::vector<std::size_t> basis)
+      : sf_(sf), m_(sf.m), basis_(std::move(basis)), is_basic_(sf.cols, 0),
+        binv_(m_ * m_, 0.0), x_(sf.rhs), y_(m_, 0.0), alpha_(m_, 0.0) {
+    for (std::size_t r = 0; r < m_; ++r) {
+      binv_[r * m_ + r] = 1.0;  // every initial basic column is a unit column
+      is_basic_[basis_[r]] = 1;
+    }
+  }
 
-  double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
+  const std::vector<std::size_t>& basis() const { return basis_; }
+  const std::vector<double>& x() const { return x_; }
 
-  /// Gaussian pivot on (pr, pc): scale pivot row to 1, eliminate elsewhere.
-  void pivot(std::size_t pr, std::size_t pc) {
-    const double piv = at(pr, pc);
-    double* prow = &data_[pr * cols_];
-    const double inv = 1.0 / piv;
-    for (std::size_t c = 0; c < cols_; ++c) prow[c] *= inv;
-    prow[pc] = 1.0;  // kill round-off on the pivot element itself
-    for (std::size_t r = 0; r < rows_; ++r) {
-      if (r == pr) continue;
-      double* row = &data_[r * cols_];
-      const double factor = row[pc];
-      if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < cols_; ++c) row[c] -= factor * prow[c];
-      row[pc] = 0.0;
+  /// Runs simplex iterations minimizing `cost` (one entry per column).
+  /// `allowed_cols` bounds the entering-variable search (used to block
+  /// artificial columns in phase 2). On return `objective` holds c_B' x_B.
+  SolveStatus iterate(const std::vector<double>& cost, std::size_t allowed_cols,
+                      const SolverOptions& opt, std::size_t& iterations, double& objective) {
+    std::fill(y_.begin(), y_.end(), 0.0);
+    objective = 0.0;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double cb = cost[basis_[r]];
+      if (cb == 0.0) continue;
+      objective += cb * x_[r];
+      const double* brow = &binv_[r * m_];
+      for (std::size_t k = 0; k < m_; ++k) y_[k] += cb * brow[k];
+    }
+    // Switch to Bland's rule if Dantzig stalls (objective unchanged) too long.
+    std::size_t stall = 0;
+    double last_objective = objective;
+    bool use_bland = false;
+
+    while (true) {
+      if (iterations >= opt.max_iterations) return SolveStatus::kIterationLimit;
+      // Pricing: reduced cost d_c = c_c - y'A_c over nonbasic columns
+      // (basic columns price at exactly zero).
+      std::size_t entering = sf_.cols;
+      double best = -opt.epsilon;
+      for (std::size_t c = 0; c < allowed_cols; ++c) {
+        if (is_basic_[c]) continue;
+        double d = cost[c];
+        for (std::size_t k = sf_.col_start[c]; k < sf_.col_start[c + 1]; ++k) {
+          d -= y_[sf_.row[k]] * sf_.value[k];
+        }
+        if (d < best) {
+          best = d;
+          entering = c;
+          if (use_bland) break;
+        }
+      }
+      if (entering == sf_.cols) return SolveStatus::kOptimal;
+
+      // Ratio test on alpha = B^-1 A_q; ties broken by smallest basis column
+      // index (anti-cycling).
+      ftran(entering);
+      std::size_t leaving = m_;
+      double best_ratio = std::numeric_limits<double>::infinity();
+      for (std::size_t r = 0; r < m_; ++r) {
+        const double a = alpha_[r];
+        if (a > opt.epsilon) {
+          const double ratio = x_[r] / a;
+          if (ratio < best_ratio - opt.epsilon ||
+              (ratio < best_ratio + opt.epsilon && (leaving == m_ || basis_[r] < basis_[leaving]))) {
+            best_ratio = ratio;
+            leaving = r;
+          }
+        }
+      }
+      if (leaving == m_) return SolveStatus::kUnbounded;
+
+      pivot(leaving, entering);
+      // The new pivot row of B^-1 is the change of y per unit of d_q.
+      const double* prow = &binv_[leaving * m_];
+      for (std::size_t k = 0; k < m_; ++k) y_[k] += best * prow[k];
+      objective += best * x_[leaving];
+      ++iterations;
+
+      if (std::abs(objective - last_objective) <= opt.epsilon) {
+        if (++stall > 2 * (m_ + allowed_cols)) use_bland = true;
+      } else {
+        stall = 0;
+        last_objective = objective;
+      }
+    }
+  }
+
+  /// After phase 1, drives each basic artificial (at value 0) out of the
+  /// basis when a non-artificial pivot exists; otherwise the row is
+  /// redundant and the artificial stays basic at zero, which is harmless
+  /// because artificial columns are excluded from phase 2's entering search.
+  void drive_out_artificials(const SolverOptions& opt) {
+    for (std::size_t r = 0; r < m_; ++r) {
+      if (basis_[r] < sf_.first_artificial) continue;
+      const double* brow = &binv_[r * m_];
+      for (std::size_t c = 0; c < sf_.first_artificial; ++c) {
+        if (is_basic_[c]) continue;
+        double a = 0.0;
+        for (std::size_t k = sf_.col_start[c]; k < sf_.col_start[c + 1]; ++k) {
+          a += brow[sf_.row[k]] * sf_.value[k];
+        }
+        if (std::abs(a) > opt.epsilon) {
+          ftran(c);
+          pivot(r, c);
+          break;
+        }
+      }
     }
   }
 
  private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<double> data_;
-};
-
-struct StandardForm {
-  Tableau tab;            // m constraint rows + 1 objective row
-  std::vector<std::size_t> basis;  // basic variable (column) per constraint row
-  std::size_t n_structural = 0;
-  std::size_t first_artificial = 0;  // columns >= this are artificial
-  std::size_t rhs_col = 0;
-};
-
-/// Runs simplex iterations on the tableau's current objective row.
-/// `allowed_cols` bounds the entering-variable search (used to block
-/// artificial columns in phase 2).
-SolveStatus iterate(StandardForm& sf, std::size_t allowed_cols, const SolverOptions& opt,
-                    std::size_t& iterations) {
-  Tableau& tab = sf.tab;
-  const std::size_t m = tab.rows() - 1;
-  const std::size_t obj = m;
-  // Switch to Bland's rule if Dantzig stalls (objective unchanged) too long.
-  std::size_t stall = 0;
-  double last_objective = tab.at(obj, sf.rhs_col);
-  bool use_bland = false;
-
-  while (true) {
-    if (iterations >= opt.max_iterations) return SolveStatus::kIterationLimit;
-    // Entering column: reduced cost < -eps. (Objective row stores reduced
-    // costs of a minimization; optimal when all are >= -eps.)
-    std::size_t entering = sf.rhs_col;
-    if (use_bland) {
-      for (std::size_t c = 0; c < allowed_cols; ++c) {
-        if (tab.at(obj, c) < -opt.epsilon) {
-          entering = c;
-          break;
-        }
-      }
-    } else {
-      double best = -opt.epsilon;
-      for (std::size_t c = 0; c < allowed_cols; ++c) {
-        const double rc = tab.at(obj, c);
-        if (rc < best) {
-          best = rc;
-          entering = c;
-        }
-      }
-    }
-    if (entering == sf.rhs_col) return SolveStatus::kOptimal;
-
-    // Ratio test; ties broken by smallest basis column index (anti-cycling).
-    std::size_t leaving = m;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < m; ++r) {
-      const double a = tab.at(r, entering);
-      if (a > opt.epsilon) {
-        const double ratio = tab.at(r, sf.rhs_col) / a;
-        if (ratio < best_ratio - opt.epsilon ||
-            (ratio < best_ratio + opt.epsilon && (leaving == m || sf.basis[r] < sf.basis[leaving]))) {
-          best_ratio = ratio;
-          leaving = r;
-        }
-      }
-    }
-    if (leaving == m) return SolveStatus::kUnbounded;
-
-    tab.pivot(leaving, entering);
-    sf.basis[leaving] = entering;
-    ++iterations;
-
-    const double objective = tab.at(obj, sf.rhs_col);
-    if (std::abs(objective - last_objective) <= opt.epsilon) {
-      if (++stall > 2 * (m + allowed_cols)) use_bland = true;
-    } else {
-      stall = 0;
-      last_objective = objective;
+  /// alpha = B^-1 A_c.
+  void ftran(std::size_t c) {
+    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+    for (std::size_t k = sf_.col_start[c]; k < sf_.col_start[c + 1]; ++k) {
+      const std::size_t i = sf_.row[k];
+      const double v = sf_.value[k];
+      for (std::size_t r = 0; r < m_; ++r) alpha_[r] += binv_[r * m_ + i] * v;
     }
   }
-}
+
+  /// Gauss-Jordan pivot on (pr, column pc) with alpha = B^-1 A_pc: scales
+  /// row pr of B^-1 and x_B by 1/alpha[pr], eliminates elsewhere.
+  void pivot(std::size_t pr, std::size_t pc) {
+    double* prow = &binv_[pr * m_];
+    const double inv = 1.0 / alpha_[pr];
+    for (std::size_t k = 0; k < m_; ++k) prow[k] *= inv;
+    x_[pr] *= inv;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double factor = alpha_[r];
+      if (r == pr || factor == 0.0) continue;
+      double* row = &binv_[r * m_];
+      for (std::size_t k = 0; k < m_; ++k) row[k] -= factor * prow[k];
+      x_[r] -= factor * x_[pr];
+    }
+    is_basic_[basis_[pr]] = 0;
+    is_basic_[pc] = 1;
+    basis_[pr] = pc;
+  }
+
+  const StandardForm& sf_;
+  std::size_t m_;
+  std::vector<std::size_t> basis_;  // basic column per row
+  std::vector<char> is_basic_;
+  std::vector<double> binv_;
+  std::vector<double> x_;
+  std::vector<double> y_;
+  std::vector<double> alpha_;
+};
 
 }  // namespace
 
 Solution solve(const Problem& problem, const SolverOptions& opt) {
   const std::size_t n = problem.variable_count();
   const std::size_t m = problem.constraint_count();
+  const std::vector<Constraint>& constraints = problem.constraints();
 
-  // Count auxiliary columns. Every <= / >= row gets a slack/surplus column;
-  // >= and == rows get an artificial. Rows are pre-normalized to rhs >= 0.
-  struct RowInfo {
-    Relation relation;
-    double sign;  // +1 if the row is used as-is, -1 if negated for rhs >= 0
-  };
-  std::vector<RowInfo> rows(m);
+  // Rows are pre-normalized to rhs >= 0. Every <= / >= row gets a
+  // slack/surplus column; >= and == rows get an artificial.
+  std::vector<Relation> relation(m);
+  std::vector<double> sign(m, 1.0);  // -1 if the row is negated for rhs >= 0
   std::size_t n_slack = 0;
   std::size_t n_artificial = 0;
+  StandardForm sf;
+  sf.m = m;
+  sf.rhs.resize(m);
+  std::vector<std::size_t> count(n, 0);
   for (std::size_t r = 0; r < m; ++r) {
-    const Constraint& c = problem.constraints()[r];
-    Relation rel = c.relation;
-    double sign = 1.0;
+    const Constraint& c = constraints[r];
+    relation[r] = c.relation;
     if (c.rhs < 0.0) {
-      sign = -1.0;
-      if (rel == Relation::kLessEqual) rel = Relation::kGreaterEqual;
-      else if (rel == Relation::kGreaterEqual) rel = Relation::kLessEqual;
+      sign[r] = -1.0;
+      if (c.relation == Relation::kLessEqual) relation[r] = Relation::kGreaterEqual;
+      else if (c.relation == Relation::kGreaterEqual) relation[r] = Relation::kLessEqual;
     }
-    rows[r] = {rel, sign};
-    if (rel != Relation::kEqual) ++n_slack;
-    if (rel != Relation::kLessEqual) ++n_artificial;
+    sf.rhs[r] = sign[r] * c.rhs;
+    if (relation[r] != Relation::kEqual) ++n_slack;
+    if (relation[r] != Relation::kLessEqual) ++n_artificial;
+    for (const auto& term : c.terms) {
+      if (term.first >= n) throw std::out_of_range("constraint references unknown variable");
+      ++count[term.first];
+    }
   }
+  sf.first_artificial = n + n_slack;
+  sf.cols = sf.first_artificial + n_artificial;
 
-  StandardForm sf{Tableau(m + 1, n + n_slack + n_artificial + 1),
-                  std::vector<std::size_t>(m, 0), n, n + n_slack,
-                  n + n_slack + n_artificial};
-  Tableau& tab = sf.tab;
-
-  // Fill constraint rows.
+  // CSC fill: structural columns from the constraint terms, then the unit
+  // slack/surplus and artificial columns; the initial basis is the slack of
+  // each <= row and the artificial of every other row.
+  sf.col_start.assign(sf.cols + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) sf.col_start[v + 1] = sf.col_start[v] + count[v];
+  for (std::size_t c = n; c < sf.cols; ++c) sf.col_start[c + 1] = sf.col_start[c] + 1;
+  sf.row.resize(sf.col_start[sf.cols]);
+  sf.value.resize(sf.col_start[sf.cols]);
+  std::vector<std::size_t> next(sf.col_start.begin(), sf.col_start.end() - 1);
+  std::vector<std::size_t> basis(m, 0);
   std::size_t slack_col = n;
-  std::size_t art_col = n + n_slack;
+  std::size_t art_col = sf.first_artificial;
+  const auto place = [&](std::size_t col, std::size_t r, double value) {
+    sf.row[next[col]] = r;
+    sf.value[next[col]++] = value;
+  };
   for (std::size_t r = 0; r < m; ++r) {
-    const Constraint& c = problem.constraints()[r];
-    for (const auto& [var, coeff] : c.terms) {
-      if (var >= n) throw std::out_of_range("constraint references unknown variable");
-      tab.at(r, var) += rows[r].sign * coeff;
+    for (const auto& [var, coeff] : constraints[r].terms) place(var, r, sign[r] * coeff);
+    if (relation[r] != Relation::kEqual) {
+      place(slack_col, r, relation[r] == Relation::kLessEqual ? 1.0 : -1.0);
+      if (relation[r] == Relation::kLessEqual) basis[r] = slack_col;
+      ++slack_col;
     }
-    tab.at(r, sf.rhs_col) = rows[r].sign * c.rhs;
-    switch (rows[r].relation) {
-      case Relation::kLessEqual:
-        tab.at(r, slack_col) = 1.0;
-        sf.basis[r] = slack_col++;
-        break;
-      case Relation::kGreaterEqual:
-        tab.at(r, slack_col) = -1.0;
-        ++slack_col;
-        tab.at(r, art_col) = 1.0;
-        sf.basis[r] = art_col++;
-        break;
-      case Relation::kEqual:
-        tab.at(r, art_col) = 1.0;
-        sf.basis[r] = art_col++;
-        break;
+    if (relation[r] != Relation::kLessEqual) {
+      place(art_col, r, 1.0);
+      basis[r] = art_col++;
     }
   }
 
+  Revised simplex(sf, std::move(basis));
   Solution result;
-  const std::size_t obj = m;
+  double objective = 0.0;
 
   if (n_artificial > 0) {
-    // Phase 1: minimize the sum of artificials. Reduced costs start as
-    // -(sum of rows whose basis is artificial) in non-artificial columns.
-    for (std::size_t c = n + n_slack; c < sf.first_artificial + n_artificial; ++c) {
-      tab.at(obj, c) = 1.0;
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      if (sf.basis[r] >= sf.first_artificial) {
-        for (std::size_t c = 0; c <= sf.rhs_col; ++c) tab.at(obj, c) -= tab.at(r, c);
-      }
-    }
+    // Phase 1: minimize the sum of artificials.
+    std::vector<double> phase1_cost(sf.cols, 0.0);
+    std::fill(phase1_cost.begin() + static_cast<std::ptrdiff_t>(sf.first_artificial),
+              phase1_cost.end(), 1.0);
     const SolveStatus phase1 =
-        iterate(sf, sf.first_artificial + n_artificial, opt, result.iterations);
+        simplex.iterate(phase1_cost, sf.cols, opt, result.iterations, objective);
     if (phase1 == SolveStatus::kIterationLimit) {
       result.status = phase1;
       return result;
     }
-    // Phase-1 objective row holds -(artificial sum); feasible iff ~0.
-    if (phase1 == SolveStatus::kUnbounded || -tab.at(obj, sf.rhs_col) > 1e-6) {
+    // Feasible iff the artificial sum reached ~0.
+    if (phase1 == SolveStatus::kUnbounded || objective > 1e-6) {
       result.status = SolveStatus::kInfeasible;
       return result;
     }
-    // Drive any basic artificial (at value 0) out of the basis when a
-    // non-artificial pivot exists; otherwise the row is redundant and the
-    // artificial stays basic at zero, which is harmless because artificial
-    // columns are excluded from phase 2's entering-variable search.
-    for (std::size_t r = 0; r < m; ++r) {
-      if (sf.basis[r] < sf.first_artificial) continue;
-      for (std::size_t c = 0; c < sf.first_artificial; ++c) {
-        if (std::abs(tab.at(r, c)) > opt.epsilon) {
-          tab.pivot(r, c);
-          sf.basis[r] = c;
-          break;
-        }
-      }
-    }
+    simplex.drive_out_artificials(opt);
   }
 
-  // Phase 2: original objective. Rebuild the reduced-cost row from scratch.
-  for (std::size_t c = 0; c <= sf.rhs_col; ++c) tab.at(obj, c) = 0.0;
-  for (std::size_t v = 0; v < n; ++v) tab.at(obj, v) = problem.costs()[v];
-  for (std::size_t r = 0; r < m; ++r) {
-    const std::size_t b = sf.basis[r];
-    if (b < n && problem.costs()[b] != 0.0) {
-      const double cost = problem.costs()[b];
-      for (std::size_t c = 0; c <= sf.rhs_col; ++c) tab.at(obj, c) -= cost * tab.at(r, c);
-    }
-  }
-
-  const SolveStatus phase2 = iterate(sf, sf.first_artificial, opt, result.iterations);
+  // Phase 2: original objective; slack and artificial columns cost nothing.
+  std::vector<double> cost(sf.cols, 0.0);
+  std::copy(problem.costs().begin(), problem.costs().end(), cost.begin());
+  const SolveStatus phase2 =
+      simplex.iterate(cost, sf.first_artificial, opt, result.iterations, objective);
   result.status = phase2;
   if (phase2 != SolveStatus::kOptimal) return result;
 
   result.values.assign(n, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
-    if (sf.basis[r] < n) result.values[sf.basis[r]] = tab.at(r, sf.rhs_col);
+    if (simplex.basis()[r] < n) result.values[simplex.basis()[r]] = simplex.x()[r];
   }
-  // Objective row rhs holds -(objective value) after the row reductions.
-  result.objective = -tab.at(obj, sf.rhs_col);
+  result.objective = objective;
   return result;
 }
 

@@ -627,6 +627,16 @@ CwcServer::Connection* CwcServer::find_connection(PhoneId phone) {
   return nullptr;
 }
 
+std::vector<CwcServer::Connection*> CwcServer::connections_by_phone() {
+  std::vector<Connection*> order;
+  for (auto& connection : connections_) {
+    if (connection->conn.valid()) order.push_back(connection.get());
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Connection* a, const Connection* b) { return a->phone < b->phone; });
+  return order;
+}
+
 void CwcServer::cancel_attempt(Connection& loser) {
   // Clear the in-flight state *before* touching the socket: if the send
   // fails mid-resolution, drop_connection's lost-handling must not see a
@@ -1399,7 +1409,7 @@ void CwcServer::on_scheduling_tick() {
   now_ms_ = loop_.now_ms();
   maybe_schedule();
   // Nudge idle ready phones (e.g. after a replugged phone's queue fills).
-  for (auto& connection : connections_) {
+  for (Connection* connection : connections_by_phone()) {
     if (connection->conn.valid() && connection->ready && !connection->busy) {
       assign_next_piece(*connection);
       maybe_reprobe(*connection);
@@ -1435,7 +1445,7 @@ void CwcServer::scheduling_instant() {
   controller_.reschedule();
   ++scheduling_rounds_;
   obs::counter("net.server.scheduling_rounds").inc();
-  for (auto& connection : connections_) {
+  for (Connection* connection : connections_by_phone()) {
     if (connection->conn.valid()) assign_next_piece(*connection);
   }
 }

@@ -270,6 +270,12 @@ class CwcServer {
   /// loss cancels its backup.
   void abort_speculation(Connection& c);
   Connection* find_connection(PhoneId phone);
+  /// Valid connections in phone-id order. Every loop that calls
+  /// assign_next_piece walks this, not connections_ (accept order):
+  /// assign_next_piece carves byte ranges off the front of each job, so the
+  /// same plan over the same fleet must lay out the same ranges whichever
+  /// agent connected first.
+  std::vector<Connection*> connections_by_phone();
   void send_keepalives(double now_ms);
   /// Publishes this phone's gauges (health state, cache%, in-flight,
   /// shipped stats) under `phone.<id>.*` — the per-phone rows /metrics and

@@ -70,8 +70,8 @@ TEST_P(SimplexExact2D, MatchesVertexEnumeration) {
     ASSERT_TRUE(std::isfinite(expected));
 
     Problem p;
-    const auto x = p.add_variable(cx, "x");
-    const auto y = p.add_variable(cy, "y");
+    const auto x = p.add_variable(cx);
+    const auto y = p.add_variable(cy);
     for (const Line& line : lines) p.add_le({{x, line.a}, {y, line.b}}, line.c);
 
     const Solution s = solve(p);

@@ -13,8 +13,8 @@ TEST(Simplex, SolvesTextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> x=2, y=6, obj=36.
   // Expressed as minimization of the negated objective.
   Problem p;
-  const auto x = p.add_variable(-3.0, "x");
-  const auto y = p.add_variable(-5.0, "y");
+  const auto x = p.add_variable(-3.0);
+  const auto y = p.add_variable(-5.0);
   p.add_le({{x, 1.0}}, 4.0);
   p.add_le({{y, 2.0}}, 12.0);
   p.add_le({{x, 3.0}, {y, 2.0}}, 18.0);
@@ -141,7 +141,7 @@ TEST_P(SimplexRandomTest, SolutionIsFeasibleAndNoWorseThanUniformSplit) {
   // each job fully assigned. This mirrors the SCH relaxation's structure.
   Problem p;
   std::vector<std::vector<std::size_t>> l(static_cast<std::size_t>(machines));
-  const auto T = p.add_variable(1.0, "T");
+  const auto T = p.add_variable(1.0);
   std::vector<std::vector<double>> w(static_cast<std::size_t>(machines),
                                      std::vector<double>(static_cast<std::size_t>(jobs)));
   std::vector<double> size(static_cast<std::size_t>(jobs));

@@ -200,19 +200,28 @@ TEST(SoakArtifact, WriteParseRoundTrip) {
 // as a byte mismatch and the shrinker reduces a decorated schedule to the
 // single slow-uplink rule that makes replays happen.
 //
-// Trigger chain: 600 ms of uplink latency delays completion reports past
-// assign_retry_ms (400 ms), so the server re-delivers the assignment and
-// the agent replays its cached report behind the original on the same
-// connection — the second copy to arrive is a stale (piece, attempt),
-// correctly dropped normally, banked again with the knob on, and the
-// doubled partial corrupts the aggregate. Two tuning points make the
-// window real: the keep-alive period sits far above the latency (the
-// agent's sends serialize behind 600 ms sleeps, and acks that fall a full
-// period behind ack a *stale* ping, which never resets the miss count —
-// the phone would read as lost and the requeue path would mask the bug
-// with correct results), and the job is large enough that the sibling
-// piece is still computing when the stale replay lands (the knob only
-// banks into a job that is not yet done).
+// Trigger chain. Each piece (~0.9 s on phone 1, ~1.2 s on phone 2 at
+// 1 ms/KB) outlasts assign_retry_ms, so the server re-delivers assignments
+// while the agents compute, and each agent replays its cached report once
+// per re-delivery right behind the original. A replay is a stale
+// (piece, attempt): dropped normally, banked again with the knob on — but
+// only into a job that is not yet done. Fault-free, phone 1 finishes first
+// and its two replays (re-deliveries at 250 and 750 ms) land while phone 2
+// still computes, so the reference banks phone 1's partial three times.
+// 600 ms of uplink latency on phone 1 holds its report in flight until
+// after phone 2 reports, so it is phone 2's replays that land in the open
+// job instead: a different doubled partial, a different aggregate, a byte
+// mismatch. Without the trigger every storm banks exactly what the
+// reference banked, so ddmin can drop the decorations. The margins: the
+// re-delivery instants (0.25, 0.75, 1.75 s) leave phone 1's piece room to
+// stretch ~90% under host load before it sees a third replay, phone 2
+// trails phone 1 by ~0.3 s, and the server dispatches in
+// phone-id order, so phone 1 gets the same byte range in every leg. The
+// keep-alive period sits far above the latency: the agent's sends
+// serialize behind 600 ms sleeps, and acks that fall a full period behind
+// ack a *stale* ping, which never resets the miss count — the phone would
+// read as lost and the requeue path would mask the bug with correct
+// results.
 TEST(SoakPlantedRegression, StaleBankCaughtAndShrunkToMinimalReproducer) {
   constexpr const char* kTrigger = "link:phone=1:slow@t=0,dur=20s,latency=600ms,dir=from";
   SoakSchedule schedule;
@@ -229,7 +238,7 @@ TEST(SoakPlantedRegression, StaleBankCaughtAndShrunkToMinimalReproducer) {
   options.makespan_envelope = 25.0;
   options.jobs = "prime-count:2048";
   options.keepalive_period_ms = 3000.0;
-  options.assign_retry_ms = 400.0;
+  options.assign_retry_ms = 250.0;
   options.bank_stale_reports = true;
 
   // Caught: the planted bank double-banks a replayed report.

@@ -14,14 +14,17 @@
 #
 # BENCH_scheduler.json keeps two series: "pre_pr" (the last numbers measured
 # before the PackProblem hot-path overhaul; never rewritten by this script)
-# and "current" (the recorded expectation this script gates against).
+# and "current" (the recorded expectation this script gates against), plus
+# "units": each row's google-benchmark time_unit ("pre_pr" rows share the
+# unit of the same-named row; a row missing from the map is read as ms). A
+# recorded number in another unit than the run's is converted, not skipped.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 REPO_ROOT="$(pwd)"
 RECORD="${REPO_ROOT}/BENCH_scheduler.json"
 MODE="${1:-check}"
-FILTER='BM_Greedy|BM_SinglePacking|BM_PreparedPacking|BM_PrepareProblem|BM_PodBuild|BM_ShipBytesRepeat|BM_KeepAliveHist|BM_TimerWheel'
+FILTER='BM_Greedy|BM_SinglePacking|BM_PreparedPacking|BM_PrepareProblem|BM_PodBuild|BM_ShipBytesRepeat|BM_KeepAliveHist|BM_TimerWheel|BM_LpRelaxation'
 # Older google-benchmark releases reject a unit suffix on min_time.
 MIN_TIME="${CWC_BENCH_MIN_TIME:-0.2}"
 
@@ -51,13 +54,16 @@ mode = os.environ["MODE"]
 raw_path = os.environ["RAW"]
 record_path = os.environ["RECORD"]
 THRESHOLD = 0.25  # fail when slower than recorded by more than this
+SECONDS_PER = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}  # time_unit values
 
 with open(raw_path) as f:
     raw = json.load(f)
 runs = {}  # name -> real_time of every repetition
+units = {}  # name -> time_unit the real_times are in
 for b in raw["benchmarks"]:
     if b.get("run_type", "iteration") == "iteration":
         runs.setdefault(b["name"], []).append(b["real_time"])
+        units[b["name"]] = b.get("time_unit", "ns")
 if not runs:
     sys.exit("run_benches: benchmark run produced no measurements")
 measured = {
@@ -69,10 +75,11 @@ try:
     with open(record_path) as f:
         record = json.load(f)
 except FileNotFoundError:
-    record = {"unit": "ms", "pre_pr": {}, "current": {}}
+    record = {"pre_pr": {}, "current": {}}
 
 if mode == "--update":
     record["current"] = measured
+    record["units"] = units
     pre = record.get("pre_pr", {})
     record["speedup_vs_pre_pr"] = {
         name: round(pre[name] / measured[name], 2)
@@ -92,18 +99,21 @@ if not recorded:
 
 regressions = []
 width = max(len(n) for n in measured)
+recorded_units = record.get("units", {})
 for name in sorted(measured):
     now = measured[name]
+    unit = units[name]
     base = recorded.get(name)
     if base is None:
-        print(f"  {name:<{width}}  {now:>10.3f} ms  (new, no recorded number)")
+        print(f"  {name:<{width}}  {now:>10.3f} {unit}  (new, no recorded number)")
         continue
+    base *= SECONDS_PER[recorded_units.get(name, "ms")] / SECONDS_PER[unit]
     delta = (now - base) / base if base > 0 else 0.0
     marker = ""
     if delta > THRESHOLD:
         marker = "  << REGRESSION"
-        regressions.append((name, base, now, delta))
-    print(f"  {name:<{width}}  {now:>10.3f} ms  recorded {base:.3f} ms  "
+        regressions.append((name, base, now, delta, unit))
+    print(f"  {name:<{width}}  {now:>10.3f} {unit}  recorded {base:.3f} {unit}  "
           f"({delta:+.1%}){marker}")
 
 for name in sorted(recorded):
@@ -114,8 +124,8 @@ failed = False
 if regressions:
     print(f"\nrun_benches: {len(regressions)} benchmark(s) regressed more "
           f"than {THRESHOLD:.0%} vs {record_path}:")
-    for name, base, now, delta in regressions:
-        print(f"  {name}: {base:.3f} ms -> {now:.3f} ms ({delta:+.1%})")
+    for name, base, now, delta, unit in regressions:
+        print(f"  {name}: {base:.3f} {unit} -> {now:.3f} {unit} ({delta:+.1%})")
     print("If the slowdown is intended, re-record with tools/run_benches.sh --update")
     failed = True
 
