@@ -12,6 +12,8 @@
 #include <limits>
 #include <span>
 
+#include "common/chunk.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/failure_aware.h"
@@ -520,6 +522,31 @@ void BM_TimerWheel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimerWheel)->Arg(100)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMicrosecond);
+
+// Content naming on the submit path: CRC-32 over one live grid chunk
+// (64 KiB) and over a piece-sized input (4 MiB), and the 64 KiB chunk grid
+// of a 4 MiB input (one CRC per chunk plus the id vector). MB/s via
+// SetBytesProcessed; the gate compares time per iteration.
+std::vector<std::uint8_t> random_blob(std::size_t bytes) {
+  Rng rng(20261018);
+  std::vector<std::uint8_t> blob(bytes);
+  for (auto& b : blob) b = static_cast<std::uint8_t>(rng.next_u64());
+  return blob;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const auto blob = random_blob(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(blob));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(4 << 20)->Unit(benchmark::kMicrosecond);
+
+void BM_ChunkBlob(benchmark::State& state) {
+  const auto blob = random_blob(4 << 20);
+  for (auto _ : state) benchmark::DoNotOptimize(chunk_blob(blob, 64 << 10));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(blob.size()));
+}
+BENCHMARK(BM_ChunkBlob)->Unit(benchmark::kMicrosecond);
 
 void BM_PredictionPredict(benchmark::State& state) {
   const auto instance = make_instance(18, 150);

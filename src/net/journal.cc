@@ -46,6 +46,19 @@ void write_u32le(std::uint8_t* p, std::uint32_t value) {
   p[2] = static_cast<std::uint8_t>(value >> 16);
   p[3] = static_cast<std::uint8_t>(value >> 24);
 }
+
+/// [u32 length][u32 crc32] in front of every record's payload.
+constexpr std::size_t kRecordHeaderBytes = 8;
+
+/// Starts a record with its header reserved in the same buffer, so
+/// Journal::append frames the record in place instead of copying the
+/// payload (a whole batch input, for kSubmit) behind a separate header.
+BufferWriter start_record(RecordType type) {
+  BufferWriter w;
+  w.write_u64(0);  // header placeholder, filled by Journal::append
+  w.write_u8(static_cast<std::uint8_t>(type));
+  return w;
+}
 }  // namespace
 
 Journal::Journal(std::string path, bool truncate) : path_(std::move(path)) {
@@ -102,23 +115,22 @@ Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Journal::append(const Blob& record) {
-  if (record.size() > kMaxRecordBytes) {
+void Journal::append(Blob framed) {
+  const std::size_t size = framed.size() - kRecordHeaderBytes;
+  if (size > kMaxRecordBytes) {
     // Refuse before anything hits the disk: replay treats a length beyond
     // the cap as a fabricated prefix and stops there, so writing this
     // record would silently cut off it and every record after it.
-    throw std::runtime_error("Journal: record of " + std::to_string(record.size()) +
+    throw std::runtime_error("Journal: record of " + std::to_string(size) +
                              " bytes exceeds the " + std::to_string(kMaxRecordBytes) +
                              "-byte record cap");
   }
   // [u32 length][u32 crc32] header. The length lets replay walk records;
   // the CRC lets it tell a torn or corrupted write apart from a valid
   // record so recovery can keep the longest valid prefix.
-  std::uint8_t header[8];
-  write_u32le(header, static_cast<std::uint32_t>(record.size()));
-  write_u32le(header + 4, crc32(record));
-  Blob framed(header, header + 8);
-  framed.insert(framed.end(), record.begin(), record.end());
+  write_u32le(framed.data(), static_cast<std::uint32_t>(size));
+  write_u32le(framed.data() + 4,
+              crc32(std::span<const std::uint8_t>(framed).subspan(kRecordHeaderBytes)));
 
   std::size_t limit = framed.size();
   bool fail_after = false;
@@ -163,8 +175,7 @@ void Journal::append(const Blob& record) {
 }
 
 void Journal::record_submit(JobId job, const std::string& task_name, const Blob& input) {
-  BufferWriter w;
-  w.write_u8(static_cast<std::uint8_t>(RecordType::kSubmit));
+  BufferWriter w = start_record(RecordType::kSubmit);
   w.write_i32(job);
   w.write_string(task_name);
   w.write_bytes(input);
@@ -172,8 +183,7 @@ void Journal::record_submit(JobId job, const std::string& task_name, const Blob&
 }
 
 void Journal::record_progress(JobId job, const Ranges& ranges, const Blob& partial) {
-  BufferWriter w;
-  w.write_u8(static_cast<std::uint8_t>(RecordType::kProgress));
+  BufferWriter w = start_record(RecordType::kProgress);
   w.write_i32(job);
   w.write_u32(static_cast<std::uint32_t>(ranges.size()));
   for (const auto& [begin, end] : ranges) {
@@ -185,8 +195,7 @@ void Journal::record_progress(JobId job, const Ranges& ranges, const Blob& parti
 }
 
 void Journal::record_atomic_done(JobId job, const Blob& result) {
-  BufferWriter w;
-  w.write_u8(static_cast<std::uint8_t>(RecordType::kAtomicDone));
+  BufferWriter w = start_record(RecordType::kAtomicDone);
   w.write_i32(job);
   w.write_bytes(result);
   append(w.take());

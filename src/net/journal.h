@@ -74,7 +74,9 @@ class Journal {
   static std::map<JobId, RecoveredJob> replay(const std::string& path);
 
  private:
-  void append(const Blob& record);
+  /// Frames and writes one record. `framed` holds 8 reserved bytes, which
+  /// become the [length][crc32] header in place, followed by the payload.
+  void append(Blob framed);
   std::string path_;
   int fd_ = -1;
 

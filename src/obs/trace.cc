@@ -101,12 +101,14 @@ void TraceRecorder::disable() { enabled_.store(false, std::memory_order_release)
 
 void TraceRecorder::record(TraceEvent event) {
   if (!enabled()) return;
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard =
       shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % kShards];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.ring.empty()) return;  // enabled flag raced an enable(); drop
+    // Stamped under the shard lock, so each ring holds its events in seq
+    // order; snapshot(since) relies on that to stop early.
+    event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     if (shard.count == shard.ring.size()) {
       dropped_.fetch_add(1, std::memory_order_relaxed);  // overwrites oldest
     } else {
@@ -137,11 +139,13 @@ std::vector<TraceEvent> TraceRecorder::snapshot(std::uint64_t since) const {
   std::vector<TraceEvent> out;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
+    // Newest first: the ring is in seq order, so the first event below
+    // `since` ends this shard's walk.
     const std::size_t size = shard.ring.size();
-    for (std::size_t k = 0; k < shard.count; ++k) {
-      const std::size_t slot = (shard.head + size - shard.count + k) % size;
-      const TraceEvent& event = shard.ring[slot];
-      if (event.seq >= since) out.push_back(event);
+    for (std::size_t k = 1; k <= shard.count; ++k) {
+      const TraceEvent& event = shard.ring[(shard.head + size - k) % size];
+      if (event.seq < since) break;
+      out.push_back(event);
     }
   }
   std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {

@@ -159,7 +159,10 @@ class TraceRecorder {
   std::uint64_t watermark() const { return next_seq_.load(std::memory_order_relaxed); }
 
   /// All buffered events with seq >= since, sorted by (t, seq). Also
-  /// publishes the trace.* counters (see below). Non-destructive.
+  /// publishes the trace.* counters (see below). Non-destructive. Each
+  /// shard's ring is in seq order, so the walk stops at the first event
+  /// older than `since`: the cost follows the events returned, not the
+  /// ring's capacity.
   std::vector<TraceEvent> snapshot(std::uint64_t since = 0) const;
 
   /// Drops buffered events (capacity and enabled state are kept).

@@ -28,6 +28,13 @@ TEST(ChunkId, EmbedsSizeAndGuardsContent) {
   EXPECT_FALSE(chunk_matches(id, tampered));
 }
 
+TEST(ChunkId, GoldenValue) {
+  // Agents keep cached chunks across runs and advertise their ids on
+  // register; a change in the id of the same bytes would turn every cached
+  // chunk into a miss.
+  EXPECT_EQ(make_chunk_id(pattern_blob(64 * 1024)), 0xB958575E00010000ull);
+}
+
 TEST(ChunkBlob, GridCoversBlobExactlyOnce) {
   const auto blob = pattern_blob(10 * 1024 + 37);  // last chunk short
   const auto chunks = chunk_blob(blob, 4 * 1024);

@@ -194,6 +194,32 @@ TEST(Journal, OldFormatFileFailsLoudly) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, GoldenV2RecordBytes) {
+  // The exact bytes of a one-record v2 journal. Journals written by older
+  // builds must keep replaying, so the file header, the [u32 length]
+  // [u32 crc32] record header and the payload layout are pinned here.
+  const std::string path = temp_journal("golden");
+  {
+    Journal journal(path, /*truncate=*/true);
+    journal.record_submit(7, "prime-count", {1, 2, 3, 4, 5, 6, 7, 8});
+  }
+  // clang-format off
+  const std::vector<std::uint8_t> golden = {
+      'C', 'W', 'C', 'J', 'N', 'L', 'v', 2,              // file header
+      0x20, 0x00, 0x00, 0x00, 0x8d, 0x8b, 0x05, 0x0a,    // length 32, crc 0x0a058b8d
+      1, 7, 0, 0, 0,                                     // kSubmit, job 7
+      11, 0, 0, 0, 'p', 'r', 'i', 'm', 'e', '-', 'c', 'o', 'u', 'n', 't',
+      8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8};
+  // clang-format on
+  EXPECT_EQ(read_file(path), golden);
+  write_file(path, golden);
+  const auto jobs = Journal::replay(path);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs.at(7).task_name, "prime-count");
+  EXPECT_EQ(jobs.at(7).input, (Blob{1, 2, 3, 4, 5, 6, 7, 8}));
+  std::remove(path.c_str());
+}
+
 TEST(Journal, EmptyAndHeaderOnlyFilesReplayEmpty) {
   const std::string path = temp_journal("header_only");
   // Zero-byte file (crash before the header write landed).

@@ -157,5 +157,49 @@ TEST(TraceRecorder, ConcurrentEmittersNeverTearEvents) {
   }
 }
 
+// snapshot(since) stops each shard's walk at the first event older than
+// `since`, which is only sound if every shard's ring is in seq order even
+// when several threads record at once and the rings have wrapped.
+TEST(TraceRecorder, WatermarkSnapshotOfWrappedRingMatchesFilteredFull) {
+  TraceRecorder recorder;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  recorder.enable(512);  // 64 per shard: wraps many times over
+  std::vector<std::thread> threads;
+  for (int thread = 0; thread < kThreads; ++thread) {
+    threads.emplace_back([&recorder, thread] {
+      for (int i = 0; i < kPerThread; ++i) {
+        recorder.record(piece_event(thread, i, static_cast<Millis>(i)));
+      }
+    });
+  }
+  // Snapshots taken while the producers run hold shard locks, so producers
+  // queue behind them and then record in an arbitrary order: the case in
+  // which a seq stamped outside the lock would land out of order. The
+  // recorder is switched off mid-run so the rings keep that contended
+  // stretch rather than the uncontended tail.
+  std::vector<std::uint64_t> marks = {0};
+  while (recorder.events_recorded() < kThreads * kPerThread / 2) {
+    marks.push_back(recorder.watermark());
+    for (const TraceEvent& event : recorder.snapshot(marks.back())) {
+      EXPECT_GE(event.seq, marks.back());
+    }
+  }
+  recorder.disable();
+  for (auto& thread : threads) thread.join();
+  ASSERT_GT(recorder.events_dropped(), 0u);
+
+  const auto full = recorder.snapshot();
+  for (const TraceEvent& event : full) marks.push_back(event.seq);
+  marks.push_back(recorder.watermark());
+  for (const std::uint64_t mark : marks) {
+    std::vector<TraceEvent> expected;
+    for (const TraceEvent& event : full) {
+      if (event.seq >= mark) expected.push_back(event);
+    }
+    ASSERT_EQ(recorder.snapshot(mark), expected) << "watermark " << mark;
+  }
+}
+
 }  // namespace
 }  // namespace cwc::obs
