@@ -30,6 +30,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "tasks/generators.h"
+#include "tasks/registry.h"
 
 namespace {
 
@@ -547,6 +549,31 @@ void BM_ChunkBlob(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(blob.size()));
 }
 BENCHMARK(BM_ChunkBlob)->Unit(benchmark::kMicrosecond);
+
+// Layer row for the agents' compute: one built-in program stepped over a
+// 4 MiB generated input to completion, in input MB/s.
+void BM_TaskStep(benchmark::State& state, const std::string& program) {
+  const auto registry = tasks::TaskRegistry::with_builtins();
+  const tasks::TaskFactory& factory = registry.require(program);
+  Rng rng(1);
+  constexpr Kilobytes kInputKb = 4096.0;
+  tasks::Bytes input;
+  if (program == "prime-count") input = tasks::make_integer_input(rng, kInputKb);
+  if (program == "word-count:error") input = tasks::make_text_input(rng, kInputKb);
+  if (program == "log-scan:disk failure") input = tasks::make_log_input(rng, kInputKb);
+  if (program == "sales-aggregate") input = tasks::make_sales_input(rng, kInputKb);
+  if (program == "photo-blur") input = tasks::make_image_input_of_size(rng, kInputKb);
+  for (auto _ : state) benchmark::DoNotOptimize(tasks::run_to_completion(factory, input));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK_CAPTURE(BM_TaskStep, primes, std::string("prime-count"))->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TaskStep, wordcount, std::string("word-count:error"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TaskStep, logscan, std::string("log-scan:disk failure"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TaskStep, sales, std::string("sales-aggregate"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TaskStep, blur, std::string("photo-blur"))->Unit(benchmark::kMillisecond);
 
 void BM_PredictionPredict(benchmark::State& state) {
   const auto instance = make_instance(18, 150);

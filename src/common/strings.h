@@ -4,12 +4,38 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace cwc {
 
 /// Splits on a single delimiter; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char delim);
+
+/// Exactly the C-locale isspace set: ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool is_ascii_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Calls `fn(word)` for each maximal run of non-whitespace bytes in `text`,
+/// left to right, without allocating. This is the one definition of a word
+/// that the task kernels and split_whitespace share. If `fn` returns bool,
+/// returning false ends the scan.
+template <typename Fn>
+void for_each_word(std::string_view text, Fn&& fn) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    while (p != end && is_ascii_space(*p)) ++p;
+    if (p == end) return;
+    const char* const start = p;
+    while (p != end && !is_ascii_space(*p)) ++p;
+    const std::string_view word(start, static_cast<std::size_t>(p - start));
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, std::string_view>, bool>) {
+      if (!fn(word)) return;
+    } else {
+      fn(word);
+    }
+  }
+}
 
 /// Splits on runs of ASCII whitespace; empty tokens are dropped.
 std::vector<std::string> split_whitespace(std::string_view text);

@@ -22,6 +22,16 @@ BufferReader open(const Blob& frame, MsgType expected) {
   return r;
 }
 
+/// Reads a u32 element count and checks that `count` elements of at least
+/// `min_entry_bytes` each can still follow, before anyone reserves for them.
+std::uint32_t read_count(BufferReader& r, std::size_t min_entry_bytes) {
+  const std::uint32_t count = r.read_u32();
+  if (count > r.remaining() / min_entry_bytes) {
+    throw BufferUnderflow("protocol: element count exceeds frame");
+  }
+  return count;
+}
+
 }  // namespace
 
 MsgType peek_type(const Blob& frame) {
@@ -52,7 +62,7 @@ RegisterMsg decode_register(const Blob& frame) {
   // Older agents have no chunk cache: budget 0 -> full shipping.
   if (r.remaining() >= 8) msg.cache_budget_bytes = r.read_u64();
   if (r.remaining() >= 4) {
-    const std::uint32_t count = r.read_u32();
+    const std::uint32_t count = read_count(r, 8);
     msg.cache_manifest.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) msg.cache_manifest.push_back(r.read_u64());
   }
@@ -158,7 +168,7 @@ AssignPieceMsg decode_assign_piece(const Blob& frame) {
   if (r.remaining() >= 1 && r.read_u8() != 0) {
     msg.chunked = true;
     const auto read_chunks = [&r](std::vector<ChunkWire>& chunks) {
-      const std::uint32_t count = r.read_u32();
+      const std::uint32_t count = read_count(r, 17);
       chunks.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         ChunkWire chunk;
@@ -170,7 +180,7 @@ AssignPieceMsg decode_assign_piece(const Blob& frame) {
     };
     read_chunks(msg.exec_chunks);
     read_chunks(msg.input_chunks);
-    const std::uint32_t fragments = r.read_u32();
+    const std::uint32_t fragments = read_count(r, 16);
     msg.input_fragments.reserve(fragments);
     for (std::uint32_t i = 0; i < fragments; ++i) {
       const std::uint64_t begin = r.read_u64();
@@ -327,7 +337,7 @@ ChunkRequestMsg decode_chunk_request(const Blob& frame) {
   msg.piece_seq = r.read_u32();
   msg.piece = r.read_i32();
   msg.attempt = r.read_i32();
-  const std::uint32_t count = r.read_u32();
+  const std::uint32_t count = read_count(r, 8);
   msg.missing.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) msg.missing.push_back(r.read_u64());
   return msg;

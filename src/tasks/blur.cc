@@ -10,25 +10,41 @@ namespace cwc::tasks {
 namespace {
 constexpr std::uint32_t kMagic = 0x43574349;  // "CWCI"
 
-/// Blurs one output row using the source image (3x3 box, clamped edges).
-void blur_row(const Image& src, std::uint32_t y, std::uint8_t* out) {
+/// Mean of the in-bounds taps of the 3x3 window at (x, y); edges see fewer.
+std::uint8_t blur_clamped(const Image& src, std::int64_t x, std::int64_t y) {
   const std::int64_t w = src.width;
   const std::int64_t h = src.height;
-  for (std::int64_t x = 0; x < w; ++x) {
-    std::uint32_t sum = 0;
-    std::uint32_t n = 0;
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        const std::int64_t nx = x + dx;
-        const std::int64_t ny = static_cast<std::int64_t>(y) + dy;
-        if (nx >= 0 && nx < w && ny >= 0 && ny < h) {
-          sum += src.pixels[static_cast<std::size_t>(ny * w + nx)];
-          ++n;
-        }
+  std::uint32_t sum = 0;
+  std::uint32_t n = 0;
+  for (std::int64_t ny = y - 1; ny <= y + 1; ++ny) {
+    for (std::int64_t nx = x - 1; nx <= x + 1; ++nx) {
+      if (nx >= 0 && nx < w && ny >= 0 && ny < h) {
+        sum += src.pixels[static_cast<std::size_t>(ny * w + nx)];
+        ++n;
       }
     }
-    out[x] = static_cast<std::uint8_t>(sum / n);
   }
+  return static_cast<std::uint8_t>(sum / n);
+}
+
+/// Blurs one output row using the source image (3x3 box, clamped edges).
+/// Interior pixels read their 9 taps unchecked.
+void blur_row(const Image& src, std::uint32_t y, std::uint8_t* out) {
+  const std::size_t w = src.width;
+  if (y == 0 || y + 1 >= src.height || w < 3) {
+    for (std::size_t x = 0; x < w; ++x) out[x] = blur_clamped(src, x, y);
+    return;
+  }
+  const std::uint8_t* above = src.pixels.data() + (y - 1) * w;
+  const std::uint8_t* row = above + w;
+  const std::uint8_t* below = row + w;
+  out[0] = blur_clamped(src, 0, y);
+  for (std::size_t x = 1; x + 1 < w; ++x) {
+    const std::uint32_t sum = above[x - 1] + above[x] + above[x + 1] + row[x - 1] + row[x] +
+                              row[x + 1] + below[x - 1] + below[x] + below[x + 1];
+    out[x] = static_cast<std::uint8_t>(sum / 9);
+  }
+  out[w - 1] = blur_clamped(src, static_cast<std::int64_t>(w - 1), y);
 }
 }  // namespace
 

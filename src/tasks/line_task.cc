@@ -1,23 +1,26 @@
 #include "tasks/line_task.h"
 
+#include <cstring>
+
 namespace cwc::tasks {
 
 std::size_t LineTask::step(ByteView input, std::size_t budget) {
   const std::size_t start = static_cast<std::size_t>(consumed_);
   if (start >= input.size()) return 0;
 
+  const char* const text = reinterpret_cast<const char*>(input.data());
   std::size_t pos = start;
   const std::size_t soft_end = std::min(input.size(), start + budget);
   std::size_t processed_through = start;
   while (pos < input.size()) {
-    // Find end of the current record.
-    std::size_t eol = pos;
-    while (eol < input.size() && input[eol] != '\n') ++eol;
+    const void* newline = std::memchr(text + pos, '\n', input.size() - pos);
+    const std::size_t eol =
+        newline ? static_cast<std::size_t>(static_cast<const char*>(newline) - text) : input.size();
     const std::size_t record_end = eol < input.size() ? eol + 1 : eol;
     if (record_end > soft_end && processed_through > start) {
       break;  // budget exhausted at a record boundary
     }
-    process_line(std::string_view(reinterpret_cast<const char*>(input.data()) + pos, eol - pos));
+    process_line(std::string_view(text + pos, eol - pos));
     processed_through = record_end;
     pos = record_end;
     if (processed_through >= soft_end) break;

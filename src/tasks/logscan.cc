@@ -1,5 +1,7 @@
 #include "tasks/logscan.h"
 
+#include <utility>
+
 #include "common/strings.h"
 
 namespace cwc::tasks {
@@ -14,15 +16,17 @@ LogScanTask::LogScanTask(std::string pattern) : pattern_(std::move(pattern)) {}
 void LogScanTask::process_line(std::string_view line) {
   ++result_.total_lines;
   // Record format: "<epoch-seconds> <SEVERITY> <message...>".
-  const auto tokens = split_whitespace(line);
-  if (tokens.size() >= 2) {
+  bool first = true;
+  for_each_word(line, [&](std::string_view token) {
+    if (std::exchange(first, false)) return true;  // skip the timestamp
     for (std::size_t s = 0; s < kSeverityNames.size(); ++s) {
-      if (tokens[1] == kSeverityNames[s]) {
+      if (token == kSeverityNames[s]) {
         ++result_.severity_counts[s];
         break;
       }
     }
-  }
+    return false;
+  });
   if (!pattern_.empty() && line.find(pattern_) != std::string_view::npos) {
     ++result_.pattern_matches;
   }

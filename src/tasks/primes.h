@@ -11,7 +11,9 @@
 
 namespace cwc::tasks {
 
-/// Deterministic Miller-Rabin primality for 64-bit values.
+/// Deterministic Miller-Rabin primality for 64-bit values: three bases in
+/// 32-bit Montgomery arithmetic below 2^32 (every generated input), twelve
+/// bases with 128-bit products above.
 bool is_prime_u64(std::uint64_t n);
 
 class PrimeCountTask final : public LineTask {

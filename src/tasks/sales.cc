@@ -17,23 +17,27 @@ std::size_t SalesResult::top_category() const {
 void SalesAggregateTask::process_line(std::string_view line) {
   line = trim(line);
   if (line.empty()) return;
-  const auto fields = split(line, ',');
-  if (fields.size() != 3) {
+  // Exactly three comma-separated fields, empty ones included: a third
+  // comma would land in the amount, which then does not parse to its end.
+  const std::size_t first = line.find(',');
+  const std::size_t second = first == std::string_view::npos ? first : line.find(',', first + 1);
+  if (second == std::string_view::npos) {
     ++result_.malformed_records;
     return;
   }
+  const std::string_view category_str = line.substr(first + 1, second - first - 1);
   std::size_t category = kSalesCategories.size();
   for (std::size_t i = 0; i < kSalesCategories.size(); ++i) {
-    if (fields[1] == kSalesCategories[i]) {
+    if (category_str == kSalesCategories[i]) {
       category = i;
       break;
     }
   }
   double amount = 0.0;
-  const auto& amount_str = fields[2];
-  const auto [ptr, ec] = std::from_chars(amount_str.data(), amount_str.data() + amount_str.size(), amount);
-  if (category == kSalesCategories.size() || ec != std::errc() ||
-      ptr != amount_str.data() + amount_str.size() || amount < 0.0) {
+  const char* const amount_end = line.data() + line.size();
+  const auto [ptr, ec] = std::from_chars(line.data() + second + 1, amount_end, amount);
+  if (category == kSalesCategories.size() || ec != std::errc() || ptr != amount_end ||
+      amount < 0.0) {
     ++result_.malformed_records;
     return;
   }

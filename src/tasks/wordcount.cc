@@ -4,12 +4,27 @@
 
 namespace cwc::tasks {
 
+namespace {
+
+/// `to_lower(token) == lower` without the copy; like C-locale tolower it
+/// folds only 'A'-'Z'.
+bool equals_folded(std::string_view token, std::string_view lower) {
+  if (token.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    const char c = token[i];
+    if ((c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) != lower[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 WordCountTask::WordCountTask(std::string target) : target_(to_lower(target)) {}
 
 void WordCountTask::process_line(std::string_view line) {
-  for (const auto& token : split_whitespace(line)) {
-    if (to_lower(token) == target_) ++count_;
-  }
+  for_each_word(line, [this](std::string_view token) {
+    if (equals_folded(token, target_)) ++count_;
+  });
 }
 
 Bytes WordCountTask::partial_result() const {

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -135,6 +136,37 @@ TEST_P(EventLoopTest, RepeatingTimerFiresUntilCancelled) {
   // Cancelled: further iterations add no ticks.
   for (int i = 0; i < 10; ++i) loop.run_once(2.0);
   EXPECT_EQ(ticks, 3);
+}
+
+/// Arms a repeat whose callback captures a sentinel, runs it twice so the
+/// re-arming path has run, and returns a weak handle on the sentinel.
+std::weak_ptr<int> arm_sentinel_repeat(EventLoop& loop, TimerId& handle) {
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  handle = loop.every(1.0, [sentinel] { ++*sentinel; });
+  for (int i = 0; i < 200 && *watch.lock() < 2; ++i) loop.run_once(5.0);
+  EXPECT_GE(*watch.lock(), 2);
+  return watch;
+}
+
+TEST_P(EventLoopTest, CancelledRepeatReleasesItsCallback) {
+  EventLoop loop(GetParam());
+  TimerId handle = kInvalidTimer;
+  const std::weak_ptr<int> sentinel = arm_sentinel_repeat(loop, handle);
+  EXPECT_FALSE(sentinel.expired());
+  EXPECT_TRUE(loop.cancel(handle));
+  EXPECT_TRUE(sentinel.expired());
+}
+
+TEST_P(EventLoopTest, DestroyedLoopReleasesArmedRepeat) {
+  std::weak_ptr<int> sentinel;
+  {
+    EventLoop loop(GetParam());
+    TimerId handle = kInvalidTimer;
+    sentinel = arm_sentinel_repeat(loop, handle);
+    EXPECT_FALSE(sentinel.expired());
+  }
+  EXPECT_TRUE(sentinel.expired());
 }
 
 TEST_P(EventLoopTest, PostRunsAfterDispatchRound) {

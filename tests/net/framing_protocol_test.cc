@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/buffer.h"
 #include "net/framing.h"
 #include "net/protocol.h"
@@ -230,6 +232,46 @@ TEST(Protocol, ProbeMessages) {
 
   const ProbeReportMsg report2 = decode_probe_report(encode(ProbeReportMsg{512.5}));
   EXPECT_DOUBLE_EQ(report2.measured_kbps, 512.5);
+}
+
+/// Decodes `frame` and returns the BufferUnderflow message ("" if none).
+template <typename Decode>
+std::string underflow_message(Decode decode, const Blob& frame) {
+  try {
+    decode(frame);
+  } catch (const BufferUnderflow& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Protocol, RegisterClaimingHugeManifestThrowsBeforeReserving) {
+  // A register frame whose manifest claims 2^32 - 1 entries but carries
+  // 16 bytes must be refused by the count check, not after a reserve of
+  // 32 GB (a plain read underflow would say "buffer underflow").
+  BufferWriter w;
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kRegister));
+  w.write_i32(1);
+  w.write_f64(1000.0);
+  w.write_f64(megabytes(512.0));
+  w.write_i32(0);
+  w.write_u64(1 << 20);
+  w.write_u32(0xFFFFFFFFu);
+  w.write_u64(11);
+  w.write_u64(22);
+  EXPECT_EQ(underflow_message(decode_register, w.take()), "protocol: element count exceeds frame");
+}
+
+TEST(Protocol, ChunkRequestClaimingHugeCountThrowsBeforeReserving) {
+  BufferWriter w;
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kChunkRequest));
+  w.write_u32(1);
+  w.write_i32(2);
+  w.write_i32(0);
+  w.write_u32(0xFFFFFFFFu);
+  w.write_u64(11);
+  EXPECT_EQ(underflow_message(decode_chunk_request, w.take()),
+            "protocol: element count exceeds frame");
 }
 
 TEST(Protocol, TypeMismatchThrows) {
