@@ -112,7 +112,15 @@ void EventLoop::arm_repeat(TimerId handle) {
   // The wheel's closure holds only the handle: repeats_ alone owns the
   // state, so cancel() or the loop's destruction frees the callback.
   RepeatState& state = *repeats_.at(handle);
-  state.current = wheel_.schedule(state.period_ms, [this, handle] {
+  // A repeat that fell whole periods behind the clock (the loop stalled)
+  // skips them: it fires once late and keeps its phase, rather than once
+  // per missed period back to back. Back-to-back keep-alive ticks would
+  // count misses that no phone could have answered.
+  const Millis behind = cached_now_ms_ - wheel_.position_ms();
+  const Millis skipped = state.period_ms > 0.0 && behind >= state.period_ms
+                             ? std::floor(behind / state.period_ms) * state.period_ms
+                             : 0.0;
+  state.current = wheel_.schedule(state.period_ms + skipped, [this, handle] {
     const auto it = repeats_.find(handle);
     if (it == repeats_.end()) return;
     const std::shared_ptr<RepeatState> alive = it->second;  // survives a cancel from inside

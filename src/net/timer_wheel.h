@@ -69,6 +69,9 @@ class TimerWheel {
 
   std::size_t pending() const { return timers_.size(); }
   Millis tick_ms() const { return tick_ms_; }
+  /// The time of the tick the wheel last reached; schedule() delays count
+  /// from here.
+  Millis position_ms() const { return static_cast<Millis>(now_tick_) * tick_ms_; }
 
  private:
   struct Timer {

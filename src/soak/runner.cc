@@ -1,14 +1,13 @@
 // Soak runners: one SoakSchedule executed end-to-end on the live stack or
-// the simulator, ending in a SoakVerdict. The live runner reuses the
-// cwc_chaos harness shape (loopback server + in-process agents, fault-free
-// reference first); the sim runner arms the same link plane on virtual
-// time and proves same-seed determinism by running the storm twice.
+// the simulator, ending in a SoakVerdict. The live runner drives a loopback
+// server + in-process agents, fault-free reference first; the sim runner
+// arms the same link plane on virtual time and proves same-seed
+// determinism by running the storm twice.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/greedy.h"
+#include "core/pod_packing.h"
 #include "core/testbed.h"
 #include "net/phone_agent.h"
 #include "net/server.h"
@@ -41,7 +41,7 @@ struct LiveJob {
   double kb = 64.0;
 };
 
-/// cwc_chaos --jobs grammar: comma-separated NAME[:ARG...]:KB where the KB
+/// RunOptions::jobs grammar: comma-separated NAME[:ARG...]:KB where the KB
 /// suffix is the part after the last colon iff it parses as a number.
 std::vector<LiveJob> parse_jobs(const std::string& spec) {
   std::vector<LiveJob> jobs;
@@ -76,31 +76,59 @@ tasks::Bytes generate_input(const std::string& name, double kb, Rng& rng) {
 
 struct LiveRun {
   bool completed = false;
-  std::vector<JobId> ids;          ///< submitted job ids, submission order
+  std::vector<JobId> ids;          ///< job ids, submission order
   std::vector<net::Blob> results;  ///< one per job, submission order
   double wall_s = 0.0;
   std::size_t quarantined = 0;  ///< phones quarantined when the run ended
 };
 
-net::ServerConfig live_config(const RunOptions& options, const std::string& journal) {
+/// The legs of a live run. Every leg shares the schedule's fleet and
+/// caches; all but the reference speculate and pack into pods.
+enum class Leg {
+  kReference,
+  kStorm,
+  kKilled,    ///< journaled, fleet paced 5x slower, cut off after 0.7 s
+  kRecovery,  ///< recover_from() the killed leg's journal and finish it
+};
+
+net::ServerConfig live_config(const RunOptions& options, const SoakSchedule& schedule, Leg leg) {
   net::ServerConfig config;
   config.port = 0;  // kernel-assigned: parallel soaks never collide
   config.keepalive_period = options.keepalive_period_ms;
   config.keepalive_misses = 3;
   config.scheduling_period = 100.0;
-  config.probe_chunks = 2;
+  config.probe_chunks = static_cast<std::uint32_t>(options.probe_chunks);
   config.probe_chunk_bytes = 8 * 1024;
   config.assign_retry_period = options.assign_retry_ms;
   config.assign_max_retries = 8;
   config.rpc_timeout = 3000.0;
-  config.journal_path = journal;
+  if (leg == Leg::kKilled) config.journal_path = recovery_journal_path();
+  if (leg == Leg::kRecovery) config.journal_path = recovery_journal_path() + ".2";
   config.bank_stale_reports = options.bank_stale_reports;
+  config.speculation.enabled = schedule.speculation && leg != Leg::kReference;
+  config.speculation.straggler_factor = 2.0;
+  // Legs are small batches: arm speculation at half done so the slow
+  // phone's tail pieces are still in flight when the check first fires.
+  config.speculation.completion_fraction = 0.5;
+  // A small grid so even modest jobs span many chunks for cache faults
+  // to land on.
+  if (schedule.cache_mb > 0.0) config.chunk_bytes = 16 * 1024;
   return config;
 }
 
-std::vector<std::unique_ptr<net::PhoneAgent>> start_agents(
-    std::uint16_t port, const RunOptions& options, double compute_ms_per_kb,
-    const tasks::TaskRegistry& registry) {
+std::unique_ptr<core::Scheduler> leg_scheduler(const SoakSchedule& schedule, Leg leg) {
+  if (leg == Leg::kReference || schedule.pods == 0) {
+    return std::make_unique<core::GreedyScheduler>();
+  }
+  core::PodPackingScheduler::Options pod_options;
+  pod_options.pods = static_cast<std::size_t>(schedule.pods);
+  return std::make_unique<core::PodPackingScheduler>(pod_options);
+}
+
+std::vector<std::unique_ptr<net::PhoneAgent>> start_agents(std::uint16_t port,
+                                                           const RunOptions& options,
+                                                           const SoakSchedule& schedule, Leg leg,
+                                                           const tasks::TaskRegistry& registry) {
   std::vector<std::unique_ptr<net::PhoneAgent>> agents;
   agents.reserve(static_cast<std::size_t>(options.phones));
   for (int i = 0; i < options.phones; ++i) {
@@ -115,27 +143,45 @@ std::vector<std::unique_ptr<net::PhoneAgent>> start_agents(
     pc.backoff_seed = 0x9e3779b9u + static_cast<std::uint64_t>(i);
     pc.rpc_timeout = 2000.0;
     pc.cpu_mhz = 600.0 + 200.0 * static_cast<double>(i % 4);
-    pc.zone = i / 2;
-    pc.emulated_compute_ms_per_kb = compute_ms_per_kb;
+    pc.zone = i / 2;  // two agents per "house", so pod keying has structure
+    // Results depend only on the inputs, so legs may pace the fleet
+    // differently. Under speculation phone 1 hides a 10x slowdown behind
+    // its advertised CPU, so the scheduler over-assigns it and a backup
+    // must race it.
+    pc.emulated_compute_ms_per_kb =
+        (leg == Leg::kKilled ? 5.0 : 1.0) * (i == 0 && schedule.speculation ? 10.0 : 1.0);
     pc.step_bytes = 8 * 1024;
+    pc.cache_bytes = static_cast<std::uint64_t>(schedule.cache_mb * 1024.0 * 1024.0);
     agents.push_back(std::make_unique<net::PhoneAgent>(port, pc, &registry));
     agents.back()->start();
   }
   return agents;
 }
 
-LiveRun run_live_once(const std::vector<LiveJob>& jobs, const RunOptions& options,
-                      double compute_ms_per_kb, double timeout_s, const std::string& journal,
-                      const tasks::TaskRegistry& registry) {
-  net::CwcServer server(std::make_unique<core::GreedyScheduler>(), core::paper_prediction(),
-                        &registry, live_config(options, journal));
+/// One leg over fresh sockets. The recovery leg takes its jobs from the
+/// killed leg's journal (in submission order) instead of submitting them.
+LiveRun run_leg(const std::vector<LiveJob>& jobs, const RunOptions& options,
+                const SoakSchedule& schedule, Leg leg, const tasks::TaskRegistry& registry) {
+  net::CwcServer server(leg_scheduler(schedule, leg), core::paper_prediction(), &registry,
+                        live_config(options, schedule, leg));
   LiveRun run;
-  Rng rng(kInputSeed);
-  for (const LiveJob& job : jobs) {
-    run.ids.push_back(server.submit(job.task, generate_input(job.task, job.kb, rng)));
+  if (leg == Leg::kRecovery) {
+    try {
+      for (const auto& [old_id, id] : server.recover_from(recovery_journal_path())) {
+        run.ids.push_back(id);
+      }
+    } catch (const std::exception&) {
+      return run;  // an unrecoverable journal never completes
+    }
+  } else {
+    Rng rng(kInputSeed);
+    for (const LiveJob& job : jobs) {
+      run.ids.push_back(server.submit(job.task, generate_input(job.task, job.kb, rng)));
+    }
   }
-  auto agents = start_agents(server.port(), options, compute_ms_per_kb, registry);
+  auto agents = start_agents(server.port(), options, schedule, leg, registry);
 
+  const double timeout_s = leg == Leg::kKilled ? 0.7 : options.timeout_s;
   const auto begin = std::chrono::steady_clock::now();
   run.completed = server.run(options.phones, seconds(timeout_s));
   run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
@@ -151,45 +197,19 @@ LiveRun run_live_once(const std::vector<LiveJob>& jobs, const RunOptions& option
   return run;
 }
 
-/// The journal-recovery leg: a journaled server is cut off mid-batch (the
-/// fleet paced 5x slower so the cut lands mid-flight), then a fresh server
-/// recover_from()s the journal and fresh agents finish the remainder.
-LiveRun run_live_restart(const std::vector<LiveJob>& jobs, const RunOptions& options,
-                         const tasks::TaskRegistry& registry) {
-  const std::string journal =
-      "/tmp/cwc_soak.journal." + std::to_string(static_cast<long long>(::getpid()));
-  LiveRun run;
-  const LiveRun partial =
-      run_live_once(jobs, options, /*compute_ms_per_kb=*/5.0, /*timeout_s=*/0.7, journal,
-                    registry);
-
-  const std::string journal2 = journal + ".2";
-  net::CwcServer server(std::make_unique<core::GreedyScheduler>(), core::paper_prediction(),
-                        &registry, live_config(options, journal2));
-  std::map<JobId, JobId> mapping;
-  try {
-    mapping = server.recover_from(journal);
-  } catch (const std::exception&) {
-    std::remove(journal.c_str());
-    run.completed = false;
-    return run;
-  }
-  auto agents = start_agents(server.port(), options, /*compute_ms_per_kb=*/1.0, registry);
-  run.completed = server.run(options.phones, seconds(options.timeout_s));
-  agents.clear();
-  if (run.completed) {
-    for (JobId old_id : partial.ids) {
-      const auto it = mapping.find(old_id);
-      if (it == mapping.end()) {
-        run.completed = false;
-        break;
-      }
-      run.results.push_back(server.result(it->second));
+/// The journal-recovery legs: a journaled server is cut off mid-batch,
+/// then a fresh server recovers the journal and fresh agents finish the
+/// remainder. Both journals are removed however the legs exit.
+LiveRun run_restart(const std::vector<LiveJob>& jobs, const RunOptions& options,
+                    const SoakSchedule& schedule, const tasks::TaskRegistry& registry) {
+  struct RemoveJournals {
+    ~RemoveJournals() {
+      std::remove(recovery_journal_path().c_str());
+      std::remove((recovery_journal_path() + ".2").c_str());
     }
-  }
-  std::remove(journal.c_str());
-  std::remove(journal2.c_str());
-  return run;
+  } remove_journals;
+  run_leg(jobs, options, schedule, Leg::kKilled, registry);
+  return run_leg(jobs, options, schedule, Leg::kRecovery, registry);
 }
 
 /// Compares a leg against the reference; fills `verdict` on the first
@@ -222,12 +242,12 @@ bool check_against_reference(const LiveRun& reference, const LiveRun& candidate,
 /// globals clean for the next run.
 class ArmedSchedule {
  public:
-  ArmedSchedule(const SoakSchedule& schedule, bool arm_points) {
+  explicit ArmedSchedule(const SoakSchedule& schedule) {
     auto& injector = fault::FaultInjector::global();
     auto& plane = fault::LinkFaultPlane::global();
     injector.reset();
     plane.reset();
-    if (arm_points && !schedule.point_spec().empty()) {
+    if (!schedule.point_spec().empty()) {
       injector.add_rules(fault::parse_fault_spec(schedule.point_spec()));
       obs::arm_fault_telemetry();
       injector.arm(schedule.seed);
@@ -254,6 +274,10 @@ void vlog(const RunOptions& options, const std::string& message) {
 
 }  // namespace
 
+std::string recovery_journal_path() {
+  return "/tmp/cwc_soak.journal." + std::to_string(static_cast<long long>(::getpid()));
+}
+
 SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options) {
   SoakVerdict verdict;
   const std::vector<LiveJob> jobs = parse_jobs(options.jobs);
@@ -268,8 +292,7 @@ SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options) {
   // reproduce byte for byte.
   fault::FaultInjector::global().reset();
   fault::LinkFaultPlane::global().reset();
-  const LiveRun reference = run_live_once(jobs, options, /*compute_ms_per_kb=*/1.0,
-                                          options.timeout_s, /*journal=*/"", registry);
+  const LiveRun reference = run_leg(jobs, options, schedule, Leg::kReference, registry);
   if (!reference.completed) {
     verdict.violated = Invariant::kLostPiece;
     verdict.detail = "fault-free reference run did not complete (live path broken "
@@ -280,9 +303,8 @@ SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options) {
 
   // Leg 2: the storm, byte-compared against the reference.
   {
-    ArmedSchedule armed(schedule, /*arm_points=*/true);
-    const LiveRun storm = run_live_once(jobs, options, /*compute_ms_per_kb=*/1.0,
-                                        options.timeout_s, /*journal=*/"", registry);
+    ArmedSchedule armed(schedule);
+    const LiveRun storm = run_leg(jobs, options, schedule, Leg::kStorm, registry);
     vlog(options, storm.completed ? "  storm complete (" + std::to_string(storm.wall_s) + " s)"
                                   : "  storm INCOMPLETE");
     if (!storm.completed) {
@@ -313,8 +335,8 @@ SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options) {
   // Leg 3 (kill_server): the storm stays armed while a journaled server is
   // killed mid-batch and a fresh one recovers — replay must converge.
   if (schedule.kill_server) {
-    ArmedSchedule armed(schedule, /*arm_points=*/true);
-    const LiveRun restarted = run_live_restart(jobs, options, registry);
+    ArmedSchedule armed(schedule);
+    const LiveRun restarted = run_restart(jobs, options, schedule, registry);
     if (!restarted.completed) {
       verdict.violated = Invariant::kNonConvergence;
       verdict.detail = "journal recovery leg did not complete";

@@ -1,7 +1,9 @@
 #include "soak/soak.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,6 +30,20 @@ std::string num(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", value);
   return buffer;
+}
+
+/// Parses the whole of `value` as a finite, non-negative T.
+template <typename T>
+T parse_non_negative(const std::string& key, const std::string& value) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc{} || ptr != end ||
+      !(parsed >= T{0} && parsed <= std::numeric_limits<T>::max())) {
+    throw std::invalid_argument("soak schedule: " + key + " wants a non-negative number, got '" +
+                                value + "'");
+  }
+  return parsed;
 }
 
 /// Picks a link-rule target: a concrete phone most of the time, the
@@ -115,6 +131,14 @@ std::string SoakSchedule::to_text() const {
   text += "seed=" + std::to_string(seed) + "\n";
   text += "kill_server=" + std::string(kill_server ? "1" : "0") + "\n";
   text += "churn=" + std::to_string(churn) + "\n";
+  if (speculation) text += "speculation=on\n";
+  if (pods != 0) text += "pods=" + std::to_string(pods) + "\n";
+  if (cache_mb != 0.0) {
+    char buffer[32];
+    // Shortest form that parses back to the same double.
+    const auto written = std::to_chars(buffer, buffer + sizeof(buffer), cache_mb);
+    text += "cache_mb=" + std::string(buffer, written.ptr) + "\n";
+  }
   for (const auto& event : events) text += "event=" + event + "\n";
   return text;
 }
@@ -138,6 +162,16 @@ SoakSchedule SoakSchedule::parse(const std::string& text) {
       schedule.kill_server = value == "1" || value == "true";
     } else if (key == "churn") {
       schedule.churn = std::stoi(value);
+    } else if (key == "speculation") {
+      if (value != "on" && value != "off") {
+        throw std::invalid_argument("soak schedule: speculation wants on or off, got '" +
+                                    value + "'");
+      }
+      schedule.speculation = value == "on";
+    } else if (key == "pods") {
+      schedule.pods = parse_non_negative<int>(key, value);
+    } else if (key == "cache_mb") {
+      schedule.cache_mb = parse_non_negative<double>(key, value);
     } else if (key == "event") {
       schedule.events.push_back(value);
     } else {

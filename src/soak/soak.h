@@ -1,22 +1,23 @@
 // Randomized, invariant-checked soak testing for the CWC stack.
 //
-// cwc_chaos replays one hand-written storm; the soak layer *generates*
-// storms. A SoakSchedule is a seeded bundle of point-fault rules
-// (common/fault.h grammar), link-fault rules (common/link_fault.h
-// grammar), an optional mid-batch server kill, and phone churn. The same
-// schedule drives both substrates:
+// A SoakSchedule is a seeded bundle of point-fault rules (common/fault.h
+// grammar), link-fault rules (common/link_fault.h grammar), an optional
+// mid-batch server kill, and phone churn. generate_schedule() expands a
+// seed into one; a committed .repro file (tests/soak/schedules/) pins one
+// by hand. The same schedule drives both substrates:
 //
-//   - run_live(): a real CwcServer + in-process PhoneAgents over loopback,
-//     chaos-harness style — fault-free reference first, then the storm,
-//     byte-comparing every job result, then (kill_server) a journal
-//     recovery leg;
+//   - run_live(): a real CwcServer + in-process PhoneAgents over loopback —
+//     fault-free reference first, then the storm, byte-comparing every job
+//     result, then (kill_server) a journal recovery leg. The live-only
+//     knobs add speculation against a hidden straggler, pod packing, and
+//     per-agent chunk caches;
 //   - run_sim(): the discrete-event simulator with the link plane armed on
 //     virtual time and churn injected as FailureEvents, run twice to prove
 //     the storm replays bit-identically.
 //
 // Every run ends in a SoakVerdict naming the first violated invariant (or
-// none). The invariant catalog and its process exit codes are shared with
-// cwc_chaos so CI can tell *what* broke from the status alone:
+// none). Each invariant has its own process exit code, so CI can tell
+// *what* broke from the status alone:
 //
 //   0  all invariants held
 //   10 kByteMismatch          a job result diverged from the fault-free
@@ -83,13 +84,30 @@ struct SoakSchedule {
   bool kill_server = false;          ///< live: add the journal-recovery leg
   int churn = 0;                     ///< sim: unplug/replug cycles
 
+  // Live-only knobs, off by default: run_sim ignores them and
+  // generate_schedule() never sets them.
+  /// Speculation on in every non-reference leg (straggler factor 2, armed
+  /// at half done). Phone 1 is paced 10x slower in every leg, so a backup
+  /// has a genuine straggler to race.
+  bool speculation = false;
+  /// PodPackingScheduler with this many pods in every non-reference leg
+  /// (0 = flat greedy). The reference stays flat, so the byte compare is a
+  /// live pods-vs-flat differential.
+  int pods = 0;
+  /// Per-agent chunk-cache budget in MB, on a 16 KiB server chunk grid
+  /// (0 = no caches).
+  double cache_mb = 0.0;
+
   /// ';'-joined non-link events (fault::parse_fault_spec input).
   std::string point_spec() const;
   /// ';'-joined "link:" events (fault::parse_link_spec input).
   std::string link_spec() const;
 
   /// Line-oriented artifact form (seed=, kill_server=, churn=, event=
-  /// lines; '#' comments ignored on parse). parse(to_text()) == *this.
+  /// lines, plus speculation=on, pods=, cache_mb= when not the default;
+  /// '#' comments ignored on parse). parse(to_text()) == *this. parse()
+  /// throws std::invalid_argument on an unknown key, a negative or
+  /// non-numeric count, or a speculation= other than on/off.
   std::string to_text() const;
   static SoakSchedule parse(const std::string& text);
 };
@@ -126,8 +144,9 @@ struct RunOptions {
   /// Storm wall/makespan must stay within envelope * reference (with a
   /// 1 s floor on the live reference so micro-runs don't flake).
   double makespan_envelope = 10.0;
-  /// Live jobs, cwc_chaos --jobs grammar ("NAME:KB" comma-separated).
-  std::string jobs = "prime-count:96,word-count:error:64";
+  /// Live jobs, comma-separated NAME[:ARG]:KB: tasks whose integer-sum
+  /// aggregate does not depend on piece boundaries.
+  std::string jobs = "prime-count:128,word-count:error:96,log-scan:disk failure:96";
   /// Sim workload scale factor over core::paper_workload.
   double sim_scale = 0.02;
   /// Live cadences. A slow-uplink schedule interacts with both: report
@@ -136,6 +155,10 @@ struct RunOptions {
   /// lost (acks of stale pings never reset the miss count).
   double keepalive_period_ms = 150.0;
   double assign_retry_ms = 400.0;
+  /// 8 KiB probe chunks the server streams to each registering phone to
+  /// measure its bandwidth. 0 leaves every phone at the placeholder
+  /// bandwidth, so each leg carves the same byte ranges on any host.
+  int probe_chunks = 2;
   /// TESTING ONLY: forwards net::ServerConfig::bank_stale_reports, the
   /// planted stale-ack regression the soak gate must catch (see
   /// tests/soak). Never enable outside a regression test.
@@ -147,6 +170,11 @@ struct RunOptions {
 /// recovery leg. Resets and disarms the global injector and link plane on
 /// entry and exit.
 SoakVerdict run_live(const SoakSchedule& schedule, const RunOptions& options = {});
+
+/// Journal of run_live()'s recovery leg (per process, under /tmp); the
+/// recovered server journals to this path + ".2". run_live() removes both
+/// files on every exit path.
+std::string recovery_journal_path();
 
 /// Sim substrate: reference -> storm (makespan envelope) -> same-seed
 /// replay (bit-identical makespan). Point rules do not apply (the

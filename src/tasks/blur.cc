@@ -93,16 +93,16 @@ void BlurTask::ensure_decoded(ByteView input) {
   source_ = decode_image(input);
   decoded_ = true;
   // Restored checkpoints already carry completed rows; a fresh task starts
-  // with the header consumed.
+  // with the header consumed. Every row of a zero-width image is done.
   if (consumed_ < 12) consumed_ = 12;
-  rows_done_ = static_cast<std::uint32_t>(
-      source_.width ? output_rows_.size() / source_.width : 0);
+  rows_done_ = source_.width ? static_cast<std::uint32_t>(output_rows_.size() / source_.width)
+                             : source_.height;
 }
 
 std::size_t BlurTask::step(ByteView input, std::size_t budget) {
   ensure_decoded(input);
   const std::uint64_t before = consumed_;
-  if (rows_done_ >= source_.height || source_.width == 0) {
+  if (rows_done_ >= source_.height) {
     consumed_ = input.size();
     return static_cast<std::size_t>(consumed_ - before);
   }

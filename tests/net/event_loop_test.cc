@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cwc::net {
@@ -136,6 +138,23 @@ TEST_P(EventLoopTest, RepeatingTimerFiresUntilCancelled) {
   // Cancelled: further iterations add no ticks.
   for (int i = 0; i < 10; ++i) loop.run_once(2.0);
   EXPECT_EQ(ticks, 3);
+}
+
+TEST_P(EventLoopTest, StalledRepeatFiresOnceNotOncePerMissedPeriod) {
+  EventLoop loop(GetParam());
+  int ticks = 0;
+  const TimerId handle = loop.every(10.0, [&] { ++ticks; });
+  for (int i = 0; i < 200 && ticks < 1; ++i) loop.run_once(20.0);
+  ASSERT_EQ(ticks, 1);
+  // The loop stalls for five periods: the overdue repeat fires once on the
+  // next round, not five times back to back.
+  std::this_thread::sleep_for(std::chrono::milliseconds(55));
+  loop.run_once(0.0);
+  EXPECT_EQ(ticks, 2);
+  // And then keeps its period.
+  for (int i = 0; i < 200 && ticks < 3; ++i) loop.run_once(20.0);
+  EXPECT_EQ(ticks, 3);
+  loop.cancel(handle);
 }
 
 /// Arms a repeat whose callback captures a sentinel, runs it twice so the

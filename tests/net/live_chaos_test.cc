@@ -4,8 +4,10 @@
 // and completion reports. Every job must still finish with results
 // byte-identical to the fault-free computation — the retry timers, the
 // reconnect backoff, and the agents' idempotent replay cache recovering
-// every injected loss. (tools/cwc_chaos additionally checks cross-run
-// determinism; these tests keep CI runtime low with a single storm.)
+// every injected loss. (The committed soak schedules in
+// tests/soak/schedules replay longer storms with speculation, pod packing,
+// chunk caches and a server kill; these tests keep CI runtime low with a
+// single storm.)
 #include <gtest/gtest.h>
 
 #include <memory>

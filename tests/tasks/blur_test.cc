@@ -110,6 +110,19 @@ TEST(BlurTask, CheckpointMigratesAcrossInstances) {
   EXPECT_EQ(decode_image(second->partial_result()).pixels, expected.pixels);
 }
 
+TEST(BlurTask, ZeroWidthImageKeepsItsHeightAcrossRestore) {
+  Image empty;
+  empty.height = 5;  // 0x5: every row is done before any pixel is read
+  const Bytes input = encode_image(empty);
+  BlurFactory factory;
+  auto resumed = factory.create();
+  resumed->restore(factory.create()->checkpoint());
+  while (!resumed->done(input)) resumed->step(input, 64);
+  const Image out = decode_image(resumed->partial_result());
+  EXPECT_EQ(out.width, 0u);
+  EXPECT_EQ(out.height, 5u);
+}
+
 TEST(BlurTask, ConsumedReachesInputSize) {
   Rng rng(45);
   const auto input = make_image_input(rng, 9, 4);

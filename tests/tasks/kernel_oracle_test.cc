@@ -190,8 +190,8 @@ TEST(ProgramOracle, SalesRecordsWithRandomFieldsAndPadding) {
 
 TEST(ProgramOracle, BlurOnEveryThinAndSmallShape) {
   Rng rng(15);
-  for (std::uint32_t width = 1; width <= 6; ++width) {
-    for (std::uint32_t height = 1; height <= 6; ++height) {
+  for (std::uint32_t width = 0; width <= 6; ++width) {
+    for (std::uint32_t height = 0; height <= 6; ++height) {
       const Bytes input = make_image_input(rng, width, height);
       expect_program_matches_oracle("photo-blur", input);
       ASSERT_EQ(box_blur_reference(decode_image(input)).pixels,

@@ -89,7 +89,7 @@ constexpr const char* kUsage = R"(cwc_server: the CWC central server
                        Enforcement is sender-side and in-process: with real
                        cwc_phone processes only downlink (dir=to) rules bite
                        here; uplink rules need the in-process harnesses
-                       (cwc_chaos, cwc_soak, the swarm)
+                       (cwc_soak, the swarm)
   --fault-spec=SPEC    arm deterministic fault injection, e.g.
                        "socket_write:reset@p=0.02;keepalive_send:drop@every=4"
                        (grammar in src/common/fault.h)

@@ -1,7 +1,6 @@
 // cwc_soak — randomized, invariant-checked soak explorer for the CWC stack.
 //
-// Where cwc_chaos replays one storm, cwc_soak *generates* them: each run
-// expands a seed into a schedule of point faults (common/fault.h),
+// Each run expands a seed into a schedule of point faults (common/fault.h),
 // link faults (common/link_fault.h — asymmetric partitions, slow links,
 // flaps, burst loss), an optional mid-batch server kill, and phone churn,
 // then executes it on the requested substrate and checks the invariant
@@ -11,11 +10,15 @@
 // On the first violation the failing schedule is shrunk ddmin-style to a
 // minimal reproducer (unless --shrink=off) and written, with its seed and
 // the violated invariant, to --artifact-dir for replay via --schedule.
+// The fixed live legs (a hand-written storm with speculation and a server
+// kill, the same storm under pod packing, a cache-corruption storm) are
+// committed schedules in tests/soak/schedules/, replayed the same way.
 //
 // Examples:
 //   cwc_soak --runs=20 --seed=1 --substrate=sim        # PR-gate leg
 //   cwc_soak --runs=5 --substrate=both --verbose
 //   cwc_soak --schedule=/tmp/soak-seed42.repro         # replay an artifact
+//   cwc_soak --substrate=live --schedule=tests/soak/schedules/chaos_storm.repro
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -25,6 +28,7 @@
 #include "common/flags.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "soak/soak.h"
 
 using namespace cwc;
@@ -48,13 +52,14 @@ constexpr const char* kUsage = R"(cwc_soak: randomized soak explorer (seeded sto
   --artifact-dir=DIR   where minimized reproducers are written
                        (default /tmp)
   --schedule=FILE      skip generation: run one schedule from a reproducer
-                       artifact (to_text() form)
+                       artifact or a committed tests/soak/schedules file
+                       (to_text() form)
   --bank-stale-reports TESTING ONLY: plant the stale-ack banking
                        regression in the live server (the gate must catch
                        and shrink it; see tests/soak)
   --verbose            per-leg progress logging
 
-Exit status (shared with cwc_chaos, see src/soak/soak.h):
+Exit status (invariant codes, see src/soak/soak.h):
   0   every run held every invariant
   2   bad flags / unreadable schedule file
   10  byte mismatch vs the fault-free reference (lost/double banking)
@@ -150,7 +155,10 @@ int main(int argc, char** argv) {
                    soak::invariant_name(verdict.violated), verdict.detail.c_str());
       return soak::exit_code(verdict.violated);
     }
-    std::printf("cwc_soak: PASS — schedule held every invariant\n");
+    std::printf("cwc_soak: PASS — schedule held every invariant (%.0f backups launched, "
+                "%.0f chunk refetches)\n",
+                obs::counter("spec.launched").value(),
+                obs::counter("net.agent.chunk_refetches").value());
     return 0;
   }
 
